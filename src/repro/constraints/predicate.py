@@ -10,11 +10,18 @@ Predicates are the shared currency of the whole system: queries contain them,
 semantic constraints are built from them, the transformation table of the
 optimizer is keyed by them, and the execution engine evaluates them against
 object instances.  They are therefore immutable and hashable.
+
+Because one optimization asks the same predicates for their canonical
+orientation, identity key and referenced classes hundreds of times, each
+:class:`Predicate` computes those three once and memoizes them in its
+instance dictionary.  The memo is invisible to equality, hashing,
+``repr``, :func:`dataclasses.fields` and pickling.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Mapping, Optional, Tuple, Union
 
@@ -156,6 +163,19 @@ def _render_operand(operand: Operand) -> str:
     return repr(operand)
 
 
+#: Memo value of :meth:`Predicate.normalized` for a predicate that is already
+#: canonical.  Memoizing ``self`` instead would make every predicate a
+#: reference cycle, so parsed predicates would only be freed by the cyclic
+#: garbage collector.
+_CANONICAL = object()
+
+
+@functools.lru_cache(maxsize=1024)
+def _class_set(*class_names: str) -> FrozenSet[str]:
+    """One shared frozenset per class-name combination (memo values)."""
+    return frozenset(class_names)
+
+
 @dataclass(frozen=True)
 class Predicate:
     """An atomic comparison predicate.
@@ -173,6 +193,17 @@ class Predicate:
     left: AttributeOperand
     operator: ComparisonOperator
     right: Operand
+
+    # Memo of (canonical orientation or _CANONICAL, key, referenced
+    # classes), set on an instance by its first use.  Unannotated, so not a
+    # dataclass field; one attribute keeps every instance dictionary in the
+    # class's shared-key layout.
+    _memo = None
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: memos must not make two equal plans
+        # serialize differently (the parallel engine digests plan pickles).
+        return {"left": self.left, "operator": self.operator, "right": self.right}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -227,10 +258,7 @@ class Predicate:
 
     def referenced_classes(self) -> FrozenSet[str]:
         """The set of object-class names this predicate mentions."""
-        classes = {self.left.class_name}
-        if isinstance(self.right, AttributeOperand):
-            classes.add(self.right.class_name)
-        return frozenset(classes)
+        return (self._memo or self._fill_memo())[2]
 
     def referenced_attributes(self) -> Tuple[AttributeOperand, ...]:
         """All attribute operands appearing in this predicate."""
@@ -261,11 +289,38 @@ class Predicate:
         same comparison therefore normalize to equal objects, which is what
         the transformation table keys on.
         """
-        if not isinstance(self.right, AttributeOperand):
-            return self
-        if self.left <= self.right:
-            return self
-        return Predicate(self.right, self.operator.flipped(), self.left)
+        norm = (self._memo or self._fill_memo())[0]
+        return self if norm is _CANONICAL else norm
+
+    def _fill_memo(self) -> Tuple[Any, Tuple, FrozenSet[str]]:
+        """Compute and store the orientation, key and classes memo."""
+        left, right = self.left, self.right
+        if isinstance(right, AttributeOperand):
+            classes = _class_set(left.class_name, right.class_name)
+            if left <= right:
+                norm = self
+            else:
+                norm = Predicate(right, self.operator.flipped(), left)
+            right_key: Tuple = (
+                "attr",
+                norm.right.class_name,
+                norm.right.attribute_name,
+            )
+        else:
+            classes = _class_set(left.class_name)
+            norm = self
+            right_key = ("const", type(right).__name__, right)
+        key = (
+            norm.left.class_name,
+            norm.left.attribute_name,
+            norm.operator.value,
+            right_key,
+        )
+        if norm is not self:
+            object.__setattr__(norm, "_memo", (_CANONICAL, key, classes))
+        memo = (_CANONICAL if norm is self else norm, key, classes)
+        object.__setattr__(self, "_memo", memo)
+        return memo
 
     def negated(self) -> "Predicate":
         """The logical negation of the predicate."""
@@ -319,15 +374,4 @@ class Predicate:
 
     def key(self) -> Tuple:
         """A hashable identity key for the normalized predicate."""
-        norm = self.normalized()
-        right = norm.right
-        if isinstance(right, AttributeOperand):
-            right_key: Tuple = ("attr", right.class_name, right.attribute_name)
-        else:
-            right_key = ("const", type(right).__name__, right)
-        return (
-            norm.left.class_name,
-            norm.left.attribute_name,
-            norm.operator.value,
-            right_key,
-        )
+        return (self._memo or self._fill_memo())[1]

@@ -162,11 +162,16 @@ class QueryFormulator:
         # plus all optional predicates, so each decision sees the richest
         # available context (matching the paper, which evaluates
         # profitability of retaining the predicate in the final query).
+        # Every decision prices the same candidate query, so it is
+        # estimated once: k optional predicates cost k + 1 estimates.
         candidate_query = self._build_query(working, imperative + optional)
+        candidate_cost = (
+            self.analyzer.query_cost(candidate_query) if optional else None
+        )
         retained_optional: List[Predicate] = []
         for predicate in optional:
             decision = self.analyzer.predicate_is_profitable(
-                candidate_query, predicate
+                candidate_query, predicate, query_cost=candidate_cost
             )
             result.decisions[f"predicate:{predicate}"] = decision
             if decision.profitable:

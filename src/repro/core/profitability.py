@@ -85,20 +85,36 @@ class ProfitabilityAnalyzer:
     # ------------------------------------------------------------------
     # Optional predicates
     # ------------------------------------------------------------------
+    def query_cost(self, query: Query) -> Optional[float]:
+        """The cost model's estimate for ``query`` (``None`` without one)."""
+        if self.cost_model is None:
+            return None
+        return self.cost_model.estimate_query_cost(query)
+
     def predicate_is_profitable(
-        self, query: Query, predicate: Predicate
+        self,
+        query: Query,
+        predicate: Predicate,
+        query_cost: Optional[float] = None,
     ) -> ProfitabilityDecision:
         """Should ``predicate`` be retained in ``query``?
 
         ``query`` is the working query *including* the predicate when it is
         already part of it; the analyzer always compares the variant with the
-        predicate against the variant without it.
+        predicate against the variant without it.  ``query_cost`` is
+        :meth:`query_cost` of ``query`` when the caller already has it, so
+        deciding k predicates against one query prices that query once.
         """
         if self.cost_model is not None:
-            with_predicate = (
-                query
-                if query.has_predicate(predicate)
-                else query.add_selective_predicates([predicate])
+            if query.has_predicate(predicate):
+                with_predicate = query
+            else:
+                with_predicate = query.add_selective_predicates([predicate])
+                query_cost = None
+            cost_with = (
+                query_cost
+                if query_cost is not None
+                else self.cost_model.estimate_query_cost(with_predicate)
             )
             without_predicate = with_predicate.with_selective_predicates(
                 [
@@ -107,7 +123,6 @@ class ProfitabilityAnalyzer:
                     if p.normalized() != predicate.normalized()
                 ]
             )
-            cost_with = self.cost_model.estimate_query_cost(with_predicate)
             cost_without = self.cost_model.estimate_query_cost(without_predicate)
             return ProfitabilityDecision(
                 profitable=cost_with + self.epsilon < cost_without,

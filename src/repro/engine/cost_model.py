@@ -19,7 +19,7 @@ optimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..constraints.predicate import Predicate
 from ..query.query import Query
@@ -130,34 +130,55 @@ class CostModel:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _local_predicates(
-        self, query: Query, class_name: str
-    ) -> List[Predicate]:
-        return [
-            p
-            for p in query.predicates()
-            if p.referenced_classes() == frozenset({class_name})
-        ]
+    def _partition(
+        self, query: Query
+    ) -> Tuple[Dict[str, List[Predicate]], List[Predicate]]:
+        """Each query class's local predicates, and the cross-class ones.
 
-    def _is_indexed(self, class_name: str, attribute_name: str) -> bool:
+        A local predicate mentions exactly one class; predicates on a class
+        outside ``query.classes`` belong to neither group.
+        """
+        local: Dict[str, List[Predicate]] = {name: [] for name in query.classes}
+        cross: List[Predicate] = []
+        for predicate in query.predicates():
+            classes = predicate.referenced_classes()
+            if len(classes) > 1:
+                cross.append(predicate)
+                continue
+            (class_name,) = classes
+            if class_name in local:
+                local[class_name].append(predicate)
+        return local, cross
+
+    def _is_indexed(
+        self,
+        class_name: str,
+        attribute_name: str,
+        statistics: DatabaseStatistics,
+    ) -> bool:
         """Whether an index scan is available for the attribute *now*.
 
         Prefers the statistics' live-index set (which tracks runtime index
         creation/drops) over the schema's static flags, so auto-managed
         indexes steer estimates the moment statistics refresh.
         """
-        known = self.statistics.is_indexed(class_name, attribute_name)
+        known = statistics.is_indexed(class_name, attribute_name)
         if known is not None:
             return known
         return self.schema.is_indexed(class_name, attribute_name)
 
     def _indexed_predicate(
-        self, class_name: str, predicates: Sequence[Predicate]
+        self,
+        class_name: str,
+        predicates: Sequence[Predicate],
+        statistics: DatabaseStatistics,
     ) -> Optional[Predicate]:
         for predicate in predicates:
             if not predicate.is_selection:
                 continue
-            if self._is_indexed(class_name, predicate.left.attribute_name):
+            if self._is_indexed(
+                class_name, predicate.left.attribute_name, statistics
+            ):
                 return predicate
         return None
 
@@ -191,6 +212,8 @@ class CostModel:
         class_name: str,
         predicates: Sequence[Predicate],
         mode: Optional[Union[str, ExecutionMode]] = None,
+        *,
+        statistics: Optional[DatabaseStatistics] = None,
     ) -> CostEstimate:
         """Estimated cost of producing the matching instances of one class.
 
@@ -200,16 +223,19 @@ class CostModel:
         extent scan retrieves every instance and evaluates every predicate
         on each.  Under the vectorized mode the per-row evaluation uses the
         (cheaper) compiled-predicate weight plus a one-off compilation and
-        column-setup charge per predicate.
+        column-setup charge per predicate.  ``statistics`` is the snapshot
+        to price against (default: :attr:`statistics`, read once).
         """
+        if statistics is None:
+            statistics = self.statistics
         mode = self._resolve_mode(mode)
-        cardinality = self.statistics.cardinality(class_name)
+        cardinality = statistics.cardinality(class_name)
         weights = self.weights
         evaluation = self._evaluation_weight(mode)
         estimate = CostEstimate()
-        indexed = self._indexed_predicate(class_name, predicates)
+        indexed = self._indexed_predicate(class_name, predicates, statistics)
         if indexed is not None:
-            selectivity = self.statistics.selectivity(indexed)
+            selectivity = statistics.selectivity(indexed)
             matching = cardinality * selectivity
             estimate.retrieval = matching * weights.instance_retrieval
             estimate.cpu = (
@@ -242,10 +268,19 @@ class CostModel:
         after applying its local predicates, with indexed access breaking
         ties in its favour.
         """
+        local, _cross = self._partition(query)
+        return self._driver(query, local, self.statistics)
+
+    def _driver(
+        self,
+        query: Query,
+        local: Dict[str, List[Predicate]],
+        statistics: DatabaseStatistics,
+    ) -> str:
         def sort_key(class_name: str) -> Tuple[float, float, str]:
-            local = self._local_predicates(query, class_name)
-            matching = self.matching_instances(class_name, local)
-            indexed = self._indexed_predicate(class_name, local)
+            predicates = local[class_name]
+            matching = statistics.estimated_matching(class_name, predicates)
+            indexed = self._indexed_predicate(class_name, predicates, statistics)
             return (matching, 0.0 if indexed is not None else 1.0, class_name)
 
         return min(query.classes, key=sort_key)
@@ -270,20 +305,27 @@ class CostModel:
         count) while paying dispatch and merge overheads — the estimate is
         *wall-clock-shaped*, so on small extents the overhead dominates and
         the model correctly predicts that fan-out is not worth it.
+
+        The whole estimate prices against one statistics snapshot, read
+        once, so a write landing mid-estimate cannot mix two versions.
         """
         mode = self._resolve_mode(mode)
         weights = self.weights
         evaluation = self._evaluation_weight(mode)
-        driver = self.driver_class(query)
-        driver_predicates = self._local_predicates(query, driver)
-        driver_scan = self.scan_estimate(driver, driver_predicates, mode)
+        statistics = self.statistics
+        local, cross = self._partition(query)
+        driver = self._driver(query, local, statistics)
+        driver_predicates = local[driver]
+        driver_scan = self.scan_estimate(
+            driver, driver_predicates, mode, statistics=statistics
+        )
         # Everything after the driver scan is accumulated separately: in
         # parallel mode those parts run partitioned across the workers.
         distributed = CostEstimate()
 
         bound = {driver}
         current_rows = max(
-            1.0, self.matching_instances(driver, driver_predicates)
+            1.0, statistics.estimated_matching(driver, driver_predicates)
         )
         remaining = [name for name in query.classes if name != driver]
         relationships = [self.schema.relationship(r) for r in query.relationships]
@@ -299,13 +341,15 @@ class CostModel:
                 ]
                 if not connecting:
                     continue
-                local = self._local_predicates(query, class_name)
-                selectivity = self.statistics.combined_selectivity(local)
+                predicates = local[class_name]
+                selectivity = statistics.combined_selectivity(predicates)
                 # The executor builds the candidate set of the traversed
                 # class once (an index scan when one of its predicates is on
                 # an indexed attribute, a full extent scan otherwise) and
                 # then follows one pointer per partial result.
-                scan = self.scan_estimate(class_name, local, mode)
+                scan = self.scan_estimate(
+                    class_name, predicates, mode, statistics=statistics
+                )
                 distributed.retrieval += scan.retrieval
                 distributed.cpu += scan.cpu
                 distributed.traversal += current_rows * weights.pointer_traversal
@@ -317,20 +361,19 @@ class CostModel:
         # Disconnected classes (should not occur for path queries): charge a
         # full scan and a cross filter.
         for class_name in remaining:
-            local = self._local_predicates(query, class_name)
-            scan = self.scan_estimate(class_name, local, mode)
+            predicates = local[class_name]
+            scan = self.scan_estimate(
+                class_name, predicates, mode, statistics=statistics
+            )
             distributed.retrieval += scan.retrieval
             distributed.cpu += scan.cpu
             current_rows = max(
-                1.0, current_rows * self.matching_instances(class_name, local)
+                1.0,
+                current_rows
+                * statistics.estimated_matching(class_name, predicates),
             )
 
         # Cross-class predicates evaluated on the joined rows.
-        cross = [
-            p
-            for p in query.predicates()
-            if len(p.referenced_classes()) > 1
-        ]
         distributed.cpu += current_rows * len(cross) * evaluation
         distributed.cpu += self._batch_setup(mode, len(cross))
         construction = current_rows * weights.result_construction

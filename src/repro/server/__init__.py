@@ -9,8 +9,9 @@ multi-client traffic needs that the blocking service API does not have:
   the existing query AST;
 * :mod:`~repro.server.admission` — bounded in-flight requests, per-client
   fairness, load shedding, graceful drain;
-* :mod:`~repro.server.gateway` — dispatch, the bounded worker pool, and
-  single-flight deduplication of identical in-flight requests;
+* :mod:`~repro.server.gateway` — dispatch (``optimize`` on the event
+  loop, execute and write work on a bounded worker pool) and
+  single-flight deduplication of identical in-flight ``execute`` requests;
 * :mod:`~repro.server.session` — one pipelined connection;
 * :mod:`~repro.server.client` — :class:`AsyncGatewayClient` (TCP or
   in-process);

@@ -2,13 +2,31 @@
 
 :class:`QueryGateway` fronts one :class:`~repro.service.OptimizationService`
 for many concurrent clients: an asyncio TCP server speaks the
-line-delimited JSON protocol (:mod:`repro.server.protocol`), admission
+line-delimited JSON protocol (:mod:`repro.server.protocol`), and admission
 control (:mod:`repro.server.admission`) bounds and fairly shares the
-in-flight request set, and a bounded worker-thread pool runs the actual
-optimizer/engine work so the event loop never blocks on a query.
+in-flight request set.
 
-**Single-flight deduplication.**  ``optimize`` and ``execute`` requests are
-deduplicated in flight by structural query identity
+**Loop or pool.**  Every admitted request runs under its admission slot
+and its timeout budget, but the work itself runs in one of two places:
+
+* on the **event loop**: ``optimize``, ``rules``, ``unsubscribe`` and the
+  never-queued ``stats`` / ``replica_status`` / ``subscribe_wal``.  An
+  optimization takes no store readers-writer lock (only short cache
+  locks) and is sub-millisecond pure Python.  Under the GIL a worker
+  thread would hold the interpreter for its whole run anyway (the switch
+  interval is 5 ms), so a thread hop buys no loop responsiveness; it only
+  adds two cross-thread wake-ups.  Inline work cannot overlap, so it needs
+  no single-flight: the service's structural result cache collapses
+  repeats.  Nothing interrupts an inline optimization once it starts, so
+  one that overruns its ``timeout`` is answered with its result; the
+  budget bounds its admission wait.
+* on the bounded **worker-thread pool**: ``execute``, ``execute_batch``,
+  the mutation ops, ``subscribe``, the subscription pumps and ``backup``.
+  These take the store's read or write lock, which a writer can hold
+  across a WAL fsync, and an ``execute`` can encode rows with 100k values.
+
+**Single-flight deduplication.**  ``execute`` requests are deduplicated
+in flight by structural query identity
 (:func:`~repro.query.equivalence.equivalence_key`) plus their options, via
 the service's shared :class:`~repro.caching.SingleFlightMap`: while a
 request is being computed, every identical concurrent request waits on the
@@ -84,9 +102,10 @@ class QueryGateway:
         Listen address; port ``0`` binds an ephemeral port (reported by
         :meth:`start` and :attr:`address`).
     worker_threads:
-        Width of the thread pool the optimizer/engine work runs on.  This
-        bounds *compute* concurrency; admission bounds *request*
-        concurrency (coalesced waiters hold a request slot but no thread).
+        Width of the thread pool that execute, write, pump and backup
+        work runs on (``optimize`` runs on the event loop).  This bounds
+        that work's concurrency; admission bounds *request* concurrency
+        (coalesced waiters hold a request slot but no thread).
     max_in_flight, max_waiting, max_pending_per_client:
         Admission-control limits (see :class:`AdmissionController`).
     request_timeout:
@@ -387,38 +406,33 @@ class QueryGateway:
             # An on-demand snapshot quiesces the store (write lock), so
             # it runs on the pool under the normal timeout budget.
             return await self._run_in_pool(lambda: self._backup_payload(), timeout)
-        generation = (
-            self.service.repository.generation
-            if self.service.repository is not None
-            else 0
-        )
         if request.op == "optimize":
-            key = (
-                "rpc",
-                "optimize",
-                equivalence_key(request.query),
-                generation,
-                request.options_key(),
+            # Answered on the event loop (see the module docstring): pure
+            # Python under the GIL, no store lock, no thread hop.
+            return optimization_payload(
+                self.service.optimize(
+                    request.query, use_cache=request.options.get("use_cache", True)
+                )
             )
-            work = self._optimize_work(request)
-        elif request.op == "execute":
-            store = self.service.store
+        if request.op == "execute":
+            generation = (
+                self.service.repository.generation
+                if self.service.repository is not None
+                else 0
+            )
             key = (
                 "rpc",
                 "execute",
                 equivalence_key(request.query),
                 generation,
-                getattr(store, "version", None),
+                getattr(self.service.store, "version", None),
                 request.options_key(),
             )
-            work = self._execute_work(request)
-        else:
-            # Unreachable while dispatch stays exhaustive over
-            # protocol.OPS (parse_request rejects unknown ops); a new op
-            # without a branch lands here instead of silently inheriting
-            # the execute path.
-            raise ProtocolError(f"no dispatch branch for op {request.op!r}")
-        return await self._coalesced(key, work, timeout)
+            return await self._coalesced(key, self._execute_work(request), timeout)
+        # Unreachable while dispatch stays exhaustive over protocol.OPS
+        # (parse_request rejects unknown ops); a new op without a branch
+        # lands here instead of silently inheriting the execute path.
+        raise ProtocolError(f"no dispatch branch for op {request.op!r}")
 
     def _handle_rules(self, request: Request) -> Dict[str, Any]:
         repository = self.service.repository
@@ -581,15 +595,6 @@ class QueryGateway:
         entry = self._channels.pop(sid, None)
         if entry is not None:
             entry[0].close()
-
-    def _optimize_work(self, request: Request):
-        service, query = self.service, request.query
-        use_cache = request.options.get("use_cache", True)
-
-        def work():
-            return optimization_payload(service.optimize(query, use_cache=use_cache))
-
-        return work
 
     def _execute_work(self, request: Request):
         service, query = self.service, request.query

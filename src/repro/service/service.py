@@ -371,9 +371,10 @@ class OptimizationService:
         retries fresh.
 
         Layering note: this is the coalescing entry point for *direct*
-        (threaded) service callers.  The gateway does not call it — it
-        coalesces whole request payloads (rows included, options in the
-        key) through the same :attr:`single_flight` map under its own
+        (threaded) service callers.  The gateway does not call it: it
+        answers ``optimize`` on its event loop, where work cannot overlap,
+        and coalesces whole ``execute`` payloads (rows included, options in
+        the key) through the same :attr:`single_flight` map under its own
         ``"rpc"``-prefixed keys, so each computation is counted once and
         the map's dedup statistics aggregate both layers.
         """

@@ -1,5 +1,10 @@
 """Unit tests for predicates."""
 
+import copy
+import dataclasses
+import gc
+import pickle
+
 import pytest
 
 from repro.constraints import ComparisonOperator, Predicate, attribute_operand, parse_operator
@@ -93,3 +98,73 @@ def test_attribute_operand_parsing():
         attribute_operand("nodot")
     with pytest.raises(ValueError):
         attribute_operand(".desc")
+
+
+def _memo_cases():
+    return [
+        Predicate.equals("cargo.desc", "frozen food"),
+        # Already canonical: the smaller attribute is on the left.
+        Predicate.comparison("driver.licenseClass", "<=", "vehicle.class"),
+        # Flipped on normalization.
+        Predicate.comparison("vehicle.class", ">=", "driver.licenseClass"),
+        Predicate.comparison("cargo.quantity", ">", "cargo.code"),
+    ]
+
+
+def _exercise(predicate):
+    return (
+        predicate.normalized(),
+        predicate.key(),
+        predicate.referenced_classes(),
+    )
+
+
+def test_memoized_answers_match_a_fresh_predicate():
+    for predicate in _memo_cases():
+        first = _exercise(predicate)
+        again = _exercise(predicate)
+        fresh = dataclasses.replace(predicate)
+        assert again[0] is first[0]
+        assert again[1] is first[1]
+        assert again[2] is first[2]
+        assert first == _exercise(fresh)
+    canonical, flipped = _memo_cases()[1:3]
+    assert canonical.normalized() is canonical
+    assert flipped.normalized() == canonical
+    assert flipped.normalized().normalized() is flipped.normalized()
+    assert flipped.key() == canonical.key()
+
+
+def test_memo_holds_no_reference_to_its_own_predicate():
+    """A self-reference would make every parsed predicate cyclic garbage."""
+    for predicate in _memo_cases():
+        _exercise(predicate)
+        referents = gc.get_referents(predicate.__dict__)
+        assert not any(item is predicate for item in referents)
+        nested = [
+            inner
+            for item in referents
+            if isinstance(item, tuple)
+            for inner in gc.get_referents(item)
+        ]
+        assert not any(item is predicate for item in nested)
+
+
+def test_memo_is_invisible_to_equality_hash_repr_fields_and_pickle():
+    for predicate in _memo_cases():
+        fresh = dataclasses.replace(predicate)
+        before = (repr(predicate), hash(predicate), pickle.dumps(predicate))
+        _exercise(predicate)
+        assert (repr(predicate), hash(predicate), pickle.dumps(predicate)) == before
+        assert predicate == fresh and hash(predicate) == hash(fresh)
+        assert pickle.dumps(predicate) == pickle.dumps(fresh)
+        assert [field.name for field in dataclasses.fields(predicate)] == [
+            "left",
+            "operator",
+            "right",
+        ]
+        assert set(dataclasses.asdict(predicate)) == {"left", "operator", "right"}
+        for clone in (pickle.loads(pickle.dumps(predicate)), copy.deepcopy(predicate)):
+            assert clone == predicate
+            assert set(vars(clone)) == {"left", "operator", "right"}
+            assert _exercise(clone) == _exercise(predicate)

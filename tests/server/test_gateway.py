@@ -2,9 +2,11 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
+from repro.query import format_query
 from repro.server import AsyncGatewayClient, GatewayRequestError
 
 pytestmark = pytest.mark.usefixtures("small_setup")
@@ -259,5 +261,140 @@ def test_stats_counters_are_consistent_under_load(
                     await asyncio.sleep(0)
 
             await asyncio.gather(hammer(), observe())
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# ``optimize`` is answered on the event loop, without the worker pool.
+# ----------------------------------------------------------------------
+def _count_pool_submissions(gateway):
+    """Wrap the gateway pool's ``submit``; returns the list of submissions."""
+    submitted = []
+    submit = gateway._pool.submit
+
+    def counting_submit(fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    gateway._pool.submit = counting_submit
+    return submitted
+
+
+def _direct_optimized(service, query):
+    return format_query(service.optimize(query, use_cache=False).result.optimized)
+
+
+def test_optimize_over_tcp_never_touches_the_worker_pool(
+    build_service, workload_texts, small_setup, harness
+):
+    """Host-independent gate: pool submissions per served optimize = 0."""
+
+    async def scenario():
+        service = build_service()
+        async with harness(service) as gateway:
+            submitted = _count_pool_submissions(gateway)
+            host, port = gateway.address
+            client = await AsyncGatewayClient.connect(host, port)
+            try:
+                for text, query in zip(workload_texts, small_setup.queries):
+                    payload = await client.optimize(text)
+                    assert payload["optimized_query"] == _direct_optimized(
+                        service, query
+                    )
+                assert submitted == []
+                stats = await client.stats()
+                assert stats["gateway"]["requests"]["optimize"] == len(workload_texts)
+                assert stats["service"]["single_flight"]["leaders"] == 0
+                # The counter does see pool work: an execute submits.
+                await client.execute(workload_texts[0])
+                assert len(submitted) == 1
+            finally:
+                await client.close()
+
+    asyncio.run(scenario())
+
+
+def test_concurrent_identical_optimizes_all_answer(
+    build_service, workload_texts, small_setup, harness
+):
+    async def scenario():
+        service = build_service()
+        async with harness(service) as gateway:
+            client = AsyncGatewayClient.in_process(gateway)
+            payloads = await asyncio.gather(
+                *(client.optimize(workload_texts[0]) for _ in range(12))
+            )
+            expected = _direct_optimized(service, small_setup.queries[0])
+            assert [p["optimized_query"] for p in payloads] == [expected] * 12
+            # Inline work cannot overlap: the first computes, the rest hit
+            # the service's result cache, and nothing is coalesced.
+            assert [p["source"] for p in payloads] == (
+                ["computed"] + ["result_cache"] * 11
+            )
+            assert not any(p.get("coalesced") for p in payloads)
+            assert service.single_flight.snapshot().leaders == 0
+
+    asyncio.run(scenario())
+
+
+def test_optimize_is_rejected_once_stop_begins(
+    build_service, workload_texts, harness
+):
+    async def scenario():
+        service = build_service()
+        execute = service.execute
+
+        def slow_execute(*args, **kwargs):
+            time.sleep(0.3)
+            return execute(*args, **kwargs)
+
+        service.execute = slow_execute
+        async with harness(service) as gateway:
+            host, port = gateway.address
+            client = await AsyncGatewayClient.connect(host, port)
+            try:
+                in_flight = asyncio.ensure_future(client.execute(workload_texts[0]))
+                await asyncio.sleep(0.05)
+                stopper = asyncio.ensure_future(gateway.stop(drain=True, timeout=5.0))
+                while not gateway.admission.snapshot().draining:
+                    await asyncio.sleep(0.005)
+                with pytest.raises(GatewayRequestError) as excinfo:
+                    await client.optimize(workload_texts[1])
+                assert excinfo.value.code == "draining"
+                assert "rows" in await in_flight
+                assert await stopper is True
+            finally:
+                await client.close()
+
+    asyncio.run(scenario())
+
+
+def test_inline_optimize_overrunning_its_timeout_returns_its_result(
+    build_service, workload_texts, harness
+):
+    """Pinned: the budget bounds the admission wait, not the optimizer.
+
+    Nothing can interrupt an optimization running on the event loop, so
+    one that overruns its ``timeout`` option is answered with the result
+    it computed, never with a ``timeout`` error.
+    """
+
+    async def scenario():
+        service = build_service()
+        optimize = service.optimize
+
+        def slow_optimize(*args, **kwargs):
+            time.sleep(0.2)
+            return optimize(*args, **kwargs)
+
+        service.optimize = slow_optimize
+        async with harness(service) as gateway:
+            client = AsyncGatewayClient.in_process(gateway)
+            payload = await client.optimize(workload_texts[0], timeout=0.05)
+            assert payload["source"] == "computed"
+            assert "optimized_query" in payload
+            stats = gateway.stats_payload()["gateway"]
+            assert stats["errors"] == {}
 
     asyncio.run(scenario())
